@@ -3,10 +3,9 @@
 * :func:`apply_churn` — static kill of 10%/33% of the population with
   optional ring repair (Figure 2), routed through the unified
   :class:`~repro.membership.views.MembershipView` liveness API;
-* :func:`crash_fraction` / :func:`crash_many` / :func:`revive_many` —
-  **deprecated** one-release shims over :class:`~repro.membership.views
-  .OracleView`'s ``crash_fraction`` / ``crash`` / ``revive`` (they warn;
-  see ``docs/architecture.md`` for the migration table);
+* :func:`revive_all` — undo a crash wave (single liveness mutations
+  live on :class:`~repro.membership.views.OracleView`: ``crash`` /
+  ``revive`` / ``crash_fraction``);
 * :mod:`repro.churn.sessions` — pluggable session-time distributions
   (exponential, Pareto heavy-tail, Gnutella-trace-driven) for
   steady-state churn;
@@ -15,7 +14,7 @@
   :class:`~repro.engine.churn.SteadyStateChurnEngine`).
 """
 
-from .failures import apply_churn, crash_fraction, crash_many, revive_all, revive_many
+from .failures import apply_churn, revive_all
 from .process import ContinuousChurn
 from .sessions import (
     SESSION_DISTRIBUTIONS,
@@ -34,9 +33,6 @@ __all__ = [
     "SessionTimes",
     "TraceSessions",
     "apply_churn",
-    "crash_fraction",
-    "crash_many",
     "make_sessions",
     "revive_all",
-    "revive_many",
 ]

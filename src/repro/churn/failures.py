@@ -6,29 +6,16 @@ repairs successor/predecessor pointers among survivors, leaves
 long-range links dangling, and then measures query cost with the
 fault-aware router.
 
-.. deprecated:: next release
-    The free-floating helpers :func:`crash_many`, :func:`revive_many`
-    and :func:`crash_fraction` are superseded by the unified liveness
-    API — :meth:`MembershipView.crash
-    <repro.membership.views.MembershipView.crash>` /
-    :meth:`~repro.membership.views.MembershipView.revive` /
-    :meth:`~repro.membership.views.MembershipView.crash_fraction` on an
-    :class:`~repro.membership.views.OracleView` (or
-    :class:`~repro.membership.probe.ProbeView`). They survive one
-    release as thin delegating shims that raise
-    :class:`DeprecationWarning`; see ``docs/architecture.md`` for the
-    migration table. :func:`apply_churn` and :func:`revive_all` remain
-    supported — they are *procedures* (the paper's exact experiment
-    steps), not liveness surface, and now route through the view
-    themselves.
+Single liveness mutations belong to the unified liveness API —
+:meth:`MembershipView.crash <repro.membership.views.MembershipView.crash>` /
+:meth:`~repro.membership.views.MembershipView.revive` /
+:meth:`~repro.membership.views.MembershipView.crash_fraction` on an
+:class:`~repro.membership.views.OracleView`. :func:`apply_churn` and
+:func:`revive_all` are *procedures* (the paper's exact experiment
+steps), not liveness surface, and route through the view themselves.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import Iterable
-
-import numpy as np
 
 from ..config import ChurnConfig
 from ..membership import OracleView
@@ -36,58 +23,12 @@ from ..ring import Ring, RingPointers, repair
 from ..rng import split
 from ..types import NodeId
 
-__all__ = ["crash_fraction", "crash_many", "revive_all", "revive_many", "apply_churn"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated and will be removed next release; "
-        f"use repro.membership.{new} instead (see docs/architecture.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def crash_many(ring: Ring, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-    """Crash the given peers in bulk (idempotent per peer).
-
-    .. deprecated:: next release
-        Use ``OracleView(ring).crash(node_ids)`` — this shim delegates
-        to it verbatim (already-dead peers tolerated, changed ids
-        returned in input order) and warns.
-    """
-    _deprecated("crash_many()", "OracleView.crash()")
-    return OracleView(ring).crash(node_ids)
-
-
-def revive_many(ring: Ring, node_ids: "Iterable[NodeId]") -> list[NodeId]:
-    """Revive the given peers in bulk (idempotent per peer).
-
-    .. deprecated:: next release
-        Use ``OracleView(ring).revive(node_ids)`` — this shim delegates
-        to it verbatim and warns.
-    """
-    _deprecated("revive_many()", "OracleView.revive()")
-    return OracleView(ring).revive(node_ids)
-
-
-def crash_fraction(ring: Ring, rng: np.random.Generator, fraction: float) -> list[NodeId]:
-    """Crash ``fraction`` of the live population, chosen uniformly.
-
-    .. deprecated:: next release
-        Use ``OracleView(ring).crash_fraction(rng, fraction)`` — this
-        shim delegates to it verbatim (identical draw layout, identical
-        guards: never kills the whole population, ``ValueError`` on a
-        bad fraction, :class:`~repro.errors.EmptyPopulationError` on an
-        empty ring) and warns.
-    """
-    _deprecated("crash_fraction()", "OracleView.crash_fraction()")
-    return OracleView(ring).crash_fraction(rng, fraction)
+__all__ = ["revive_all", "apply_churn"]
 
 
 def revive_all(ring: Ring, victims: "list[NodeId]") -> None:
     """Undo a crash wave (lets one built network serve several churn
-    cases without rebuilding). Supported API — not deprecated."""
+    cases without rebuilding)."""
     OracleView(ring).revive(victims)
 
 
@@ -98,8 +39,7 @@ def apply_churn(ring: Ring, pointers: RingPointers, config: ChurnConfig) -> list
     same network can be measured under different kill fractions with
     non-overlapping victim randomness. The kill itself goes through the
     membership API (:meth:`OracleView.crash_fraction
-    <repro.membership.views.OracleView.crash_fraction>`) — identical
-    draws and semantics to the historical helper.
+    <repro.membership.views.OracleView.crash_fraction>`).
 
     Returns the victims so the caller can :func:`revive_all` afterwards.
     """

@@ -202,8 +202,8 @@ def make_sessions(name: str, half_life: float) -> SessionTimes:
     """Construct a session distribution by registry name.
 
     Raises :class:`~repro.errors.ConfigError` for unknown names — the
-    validation boundary shared by the ``steady-churn`` spec and
-    ``repro bench --phase churn``.
+    validation boundary shared by the ``steady-churn``,
+    ``detector-churn`` and ``serve-churn`` specs.
     """
     try:
         factory = SESSION_DISTRIBUTIONS[name]

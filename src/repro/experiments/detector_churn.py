@@ -30,6 +30,7 @@ import numpy as np
 
 from ..churn.sessions import make_sessions
 from ..engine import SteadyStateChurnEngine
+from ..errors import ConfigError
 from ..membership import DetectorConfig, ProbeView
 from .base import ExperimentResult, scaled_sizes
 from .growth import make_overlay
@@ -83,6 +84,8 @@ def run(
     backend: str = "vectorized",
 ) -> ExperimentResult:
     """Epoch time series of churn routed over probe-derived knowledge."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if keys not in KEY_DISTRIBUTIONS:
         raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
     if degrees not in DEGREE_DISTRIBUTIONS:

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..churn.sessions import make_sessions
 from ..engine import ServeEngine, SteadyStateChurnEngine
+from ..errors import ConfigError
 from ..index import ReplicatedStore
 from ..membership import DetectorConfig, OracleView, ProbeView
 from ..rng import split
@@ -88,6 +89,8 @@ def run(
 ) -> ExperimentResult:
     """Epoch time series of cached serving over a churning, replicated
     catalog (the flash crowd occupies the middle third of the run)."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if keys not in KEY_DISTRIBUTIONS:
         raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
     if degrees not in DEGREE_DISTRIBUTIONS:

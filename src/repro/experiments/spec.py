@@ -85,6 +85,14 @@ class Param:
         """Human-readable type name of the default (``any`` for None)."""
         return "any" if self.default is None else type(self.default).__name__
 
+    @property
+    def text(self) -> str:
+        """The default spelled as ``--param`` accepts it (``coerce``
+        inverts it): tuples comma-joined, strings unquoted."""
+        if isinstance(self.default, tuple):
+            return ",".join(str(value) for value in self.default)
+        return str(self.default)
+
     def coerce(self, text: str) -> object:
         """Parse a CLI string into this parameter's type.
 

@@ -23,6 +23,7 @@ import time
 
 from ..churn.sessions import SESSION_DISTRIBUTIONS, make_sessions
 from ..engine import SteadyStateChurnEngine
+from ..errors import ConfigError
 from .base import ExperimentResult, scaled_sizes
 from .growth import make_overlay
 from .scenario import DEGREE_DISTRIBUTIONS, KEY_DISTRIBUTIONS
@@ -61,6 +62,8 @@ def run(
     n_queries: int = 256,
 ) -> ExperimentResult:
     """Epoch time series of an overlay under steady-state churn."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if keys not in KEY_DISTRIBUTIONS:
         raise ValueError(f"unknown key distribution {keys!r}; known: {sorted(KEY_DISTRIBUTIONS)}")
     if degrees not in DEGREE_DISTRIBUTIONS:

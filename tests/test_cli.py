@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.cli import build_bench_parser, build_parser, main
+from repro.cli import build_parser, main
+from repro.errors import ConfigError
 from repro.experiments import all_specs
 
 
@@ -174,7 +177,19 @@ class TestListSubcommand:
 
     def test_params_shown(self, capsys):
         assert main(["list", "--params"]) == 0
-        assert "--param mean_degree" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--param mean_degree" in out
+        assert "--param sizes=10000,31600,100000 (tuple)" in out
+
+    def test_every_listed_default_round_trips(self):
+        for spec in all_specs():
+            for param in spec.params:
+                if param.default is None:
+                    # Object-valued parameters are set programmatically only.
+                    with pytest.raises(ConfigError):
+                        param.coerce(param.text)
+                else:
+                    assert param.coerce(param.text) == param.default, (spec.id, param.name)
 
     def test_unknown_tag_fails(self, capsys):
         assert main(["list", "--tag", "nope"]) == 1
@@ -255,95 +270,73 @@ class TestReportSubcommand:
         assert "no artifacts" in capsys.readouterr().err
 
 
-class TestBenchSubcommand:
-    def test_defaults(self):
-        args = build_bench_parser().parse_args([])
-        assert args.substrate == "oscar"
-        assert args.batch == 1000
-        assert args.nodes == 1000
+def _stored_scalars(out, spec_id: str) -> dict:
+    """The scalars of the single artifact ``repro run --out`` stored for
+    ``spec_id`` — what the CI smoke gates read."""
+    (path,) = (out / spec_id).glob("*.json")
+    return json.loads(path.read_text(encoding="utf-8"))["result"]["scalars"]
 
-    def test_substrate_choices(self):
-        for substrate in ("oscar", "chord", "mercury"):
-            assert build_bench_parser().parse_args(["--substrate", substrate]).substrate == substrate
-        with pytest.raises(SystemExit):
-            build_bench_parser().parse_args(["--substrate", "kademlia"])
 
-    def test_bench_runs_and_validates(self, capsys):
-        exit_code = main(
-            ["bench", "--substrate", "chord", "--nodes", "120", "--batch", "64", "--rounds", "2"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "routes/s" in out
-        assert "stats_match=True" in out
-
-    def test_bench_rejects_bad_sizes(self, capsys):
-        assert main(["bench", "--nodes", "1"]) == 2
-
-    def test_bench_phase_defaults_to_route(self):
-        assert build_bench_parser().parse_args([]).phase == "route"
-        assert build_bench_parser().parse_args(["--phase", "build"]).phase == "build"
-
-    def test_bench_batch_zero_means_one_query_per_peer(self, capsys):
-        # The PR 2 n_queries=0 convention: 0 is a valid "default budget".
-        exit_code = main(
-            ["bench", "--substrate", "chord", "--nodes", "80", "--batch", "0",
-             "--rounds", "1", "--skip-scalar"]
-        )
-        assert exit_code == 0
-        assert "batch=80" in capsys.readouterr().out
-
-    def test_bench_negative_batch_is_a_config_error(self, capsys):
-        assert main(["bench", "--batch", "-3"]) == 2
+class TestRunConfigErrors:
+    @pytest.mark.parametrize(
+        ("spec_id", "assignment", "needle"),
+        [
+            ("steady-churn", "half_life=0", "half_life"),
+            ("steady-churn", "repair_every=0", "repair_every"),
+            ("detector-churn", "loss=1.5", "loss"),
+            ("serve-churn", "replicas=0", "replication factor"),
+            ("serve-churn", "cache_size=-1", "cache capacity"),
+            ("steady-churn", "epochs=0", "epochs"),
+            ("detector-churn", "epochs=0", "epochs"),
+            ("serve-churn", "epochs=0", "epochs"),
+        ],
+    )
+    def test_engine_config_error_is_one_line_exit_2(self, spec_id, assignment, needle, capsys):
+        argv = ["run", spec_id, "--param", "size=200", "--param", assignment]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "--batch must be >= 0" in err
+        assert err.startswith("run: ")
+        assert needle in err
+        assert err.count("\n") == 1  # one line, no traceback
 
-    def test_bench_rejects_bad_rounds_and_cap(self, capsys):
-        assert main(["bench", "--rounds", "0"]) == 2
-        assert "--rounds" in capsys.readouterr().err
-        assert main(["bench", "--cap", "0"]) == 2
-        assert "--cap" in capsys.readouterr().err
+    def test_other_errors_keep_their_traceback(self):
+        # An unknown key distribution is a plain ValueError, not a
+        # ConfigError: it propagates instead of becoming an exit code.
+        with pytest.raises(ValueError, match="unknown key distribution") as info:
+            main(["run", "steady-churn", "--param", "size=200", "--param", "keys=bogus"])
+        assert not isinstance(info.value, ConfigError)
 
-    def test_bench_build_phase_runs(self, capsys):
-        exit_code = main(
-            ["bench", "--phase", "build", "--nodes", "150", "--rounds", "1",
-             "--batch", "50"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "phase=build" in out
-        assert "grow_batch" in out
-        assert "speedup" in out
-        assert "success_rate=1.000" in out
 
-    def test_bench_churn_phase_runs(self, capsys):
-        exit_code = main(
-            ["bench", "--phase", "churn", "--nodes", "150", "--epochs", "4",
-             "--batch", "32", "--half-life", "3", "--repair-every", "2"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "phase=churn" in out
-        assert "epoch   4" in out
-        assert "epochs/s" in out
-        assert "repair(compacted=" in out
+class TestSpecSmokes:
+    """The CI smoke gates run these specs and read these scalars."""
 
-    def test_bench_churn_defaults(self):
-        args = build_bench_parser().parse_args(["--phase", "churn"])
-        assert args.epochs == 10
-        assert args.half_life == 8.0
-        assert args.sessions == "exponential"
-        assert args.repair_every == 4
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_bench_churn_rejects_bad_flags(self, capsys):
-        assert main(["bench", "--phase", "churn", "--epochs", "0"]) == 2
-        assert "--epochs" in capsys.readouterr().err
-        assert main(["bench", "--phase", "churn", "--half-life", "0"]) == 2
-        assert "--half-life" in capsys.readouterr().err
-        assert main(["bench", "--phase", "churn", "--repair-every", "0"]) == 2
-        assert "--repair-every" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            build_bench_parser().parse_args(["--sessions", "weibull"])
+    def test_steady_churn_reports_churn_seconds(self, tmp_path, capsys):
+        argv = ["run", "steady-churn", "--param", "size=300", "--param", "epochs=3",
+                "--param", "n_queries=32", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert _stored_scalars(tmp_path, "steady-churn")["churn_seconds"] > 0
+
+    def test_detector_churn_reports_evictions(self, tmp_path, capsys):
+        argv = ["run", "detector-churn", "--param", "size=300", "--param", "epochs=4",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        scalars = _stored_scalars(tmp_path, "detector-churn")
+        assert {"evictions", "false_evictions"} <= scalars.keys()
+
+    def test_serve_churn_reports_data_loss_counts(self, tmp_path, capsys):
+        argv = ["run", "serve-churn", "--param", "size=300", "--param", "epochs=3",
+                "--param", "n_queries=256", "--param", "membership=probe",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        scalars = _stored_scalars(tmp_path, "serve-churn")
+        gated = {"items_lost_total", "under_k_final", "phantom_total", "stale_serves"}
+        assert gated <= scalars.keys()
 
 
 class TestModuleEntryPoint:

@@ -9,7 +9,7 @@ contracts the views assume:
 * compaction (``remove_many``) preserves clockwise ring order and the
   id/slot mappings (:meth:`Ring.verify` must stay silent);
 * the liveness bitmap agrees with the ring's live view after
-  ``crash_many`` / ``remove_many`` waves;
+  ``OracleView.crash`` / ``remove_many`` waves;
 * the padded link table round-trips through :class:`LinkView` at
   degree 0 and at the maximum width, keeping the padding invariant
   (columns at or past ``out_count`` are -1).
@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.churn.failures import crash_many
 from repro.core.soa import LinkView, SubstrateState
 from repro.errors import RingInvariantError
+from repro.membership import OracleView
 from repro.ring import Ring
 
 
@@ -142,7 +142,7 @@ class TestCompactionAndLiveness:
     @settings(max_examples=60, deadline=None)
     def test_liveness_bitmap_matches_ring_view(self, crashes, removals):
         ring = fresh_ring(30)
-        crash_many(ring, crashes)
+        OracleView(ring).crash(crashes)
         dead_removals = [i for i in removals if i in set(crashes)]
         ring.remove_many(dead_removals)
         ring.verify()
